@@ -90,7 +90,7 @@ int main() {
   }
   std::printf("\nCascade's interactivity costs ~100x more messages; at 80 ms "
               "RTT that is the difference between sub-second and "
-              "minutes-per-block. LDPC leaks more bits but sends one "
-              "syndrome per frame.\n");
+              "minutes-per-block. LDPC leaks more bits but sends every "
+              "frame's syndrome in one message.\n");
   return 0;
 }

@@ -13,9 +13,12 @@ Checks (all findings are errors; CI requires a zero-finding run):
                     key/tag/LLR material. Sizes and counts are fine; the
                     contents of distilled keys, MAC tags, pad residuals and
                     decoder LLR buffers must never reach a log sink.
-  secret-compare    MAC tag comparisons must go through ct_equal (a == on
-                    tag values is the classic remote timing oracle;
-                    src/auth/wegman_carter.cpp is the reference use).
+  secret-compare    MAC and verification tag comparisons must go through
+                    ct_equal (a == on tag values is the classic remote
+                    timing oracle; src/auth/wegman_carter.cpp is the
+                    reference use). Catches tag words (`tag.value`), whole
+                    U128 tags (`alice_tag == bob_tag`) and tag halves
+                    (`.tag_hi`/`.tag_lo`).
   relaxed-order     every std::memory_order_relaxed use must be justified
                     by a `// relaxed:` comment in the same paragraph (the
                     comment covers following lines until the next blank
@@ -27,6 +30,7 @@ Checks (all findings are errors; CI requires a zero-finding run):
                     with the single -Isrc include root.
 
 Usage: qkd_lint.py [repo_root]
+       qkd_lint.py --self-test   (the secret-compare pattern's own cases)
 Exit status: 0 on zero findings, 1 otherwise.
 """
 
@@ -54,8 +58,32 @@ SECRET_EXPR = re.compile(
 LOG_MACRO = re.compile(r"\bQKDPP_(LOG|DEBUG|INFO|WARN|ERROR)\s*\(")
 STREAM_SINK = re.compile(r"\bstd::c(out|err)\b")
 
-# A tag/MAC value compared with ==/!= instead of ct_equal.
-TAG_COMPARE = re.compile(r"(tag\w*\.value\s*[=!]=|[=!]=\s*\w*tag\w*\.value)")
+# A tag/MAC value compared with ==/!= instead of ct_equal. An operand is
+# any identifier with a `tag` word (`tag`, `alice_tag`, `verify.tag_hi`,
+# but not `stages`), or a
+# call returning one (`verification_tag(key, seed)`), with an optional
+# member (`tag.value`, `tag.hi`). Sizes and counts of tags are not secret.
+TAG_OPERAND = (r"\b(?:\w+_)?tag(?:_\w+)?\b(?:\([^()]*\))?(?:\.\w+)?"
+               r"(?<!_bits)(?<!_count)(?<!\.size\(\))")
+TAG_COMPARE = re.compile(
+    rf"{TAG_OPERAND}\s*[=!]=|[=!]=\s*(?:\w+\.)*{TAG_OPERAND}")
+
+# (line, flagged?) cases the TAG_COMPARE pattern must get right; run with
+# --self-test.
+TAG_COMPARE_CASES = (
+    ("if (tag.value == expected.value) {", True),    # MAC tag words
+    ("return tag.value != other;", True),
+    ("if (!(alice_tag == bob_tag)) {", True),         # U128 tags
+    ("return verification_tag(a, s) == verification_tag(b, s);", True),
+    ("const bool match = tag.hi == verify.tag_hi;", True),  # member words
+    ("ok = hi == request.tag_lo;", True),
+    ("if (x.tag_lo != y) {", True),
+    ("if (ct_equal(tag, U128{verify.tag_hi, verify.tag_lo})) {", False),
+    ("if (tag_bits == 128) {", False),
+    ("EXPECT_EQ(tags.size() == 3, true);", False),
+    ("if (message_type(m) == kTagAbort) {", False),
+    ("if (stages == 0) {", False),
+)
 
 RELAXED = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_JUSTIFICATION = re.compile(r"//.*\brelaxed:")
@@ -191,7 +219,22 @@ class Linter:
                     "root")
 
 
+def self_test():
+    """Check TAG_COMPARE against TAG_COMPARE_CASES; 0 when all agree."""
+    failures = [
+        line for line, flagged in TAG_COMPARE_CASES
+        if bool(TAG_COMPARE.search(line)) != flagged
+    ]
+    for line in failures:
+        print(f"qkd_lint self-test: secret-compare gets this wrong: {line}")
+    print(f"qkd_lint self-test: {len(TAG_COMPARE_CASES)} case(s), "
+          f"{len(failures)} failure(s)", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv):
+    if len(argv) > 1 and argv[1] == "--self-test":
+        return self_test()
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
     linter = Linter(root)
     scanned = 0

@@ -9,12 +9,13 @@
 #include <cmath>
 #include <utility>
 
+#include "common/ct_equal.hpp"
 #include "common/error.hpp"
 #include "hetero/kernels.hpp"
 #include "privacy/verification.hpp"
 #include "protocol/param_estimation.hpp"
 #include "reconcile/ldpc_code.hpp"
-#include "reconcile/rate_adapt.hpp"
+#include "reconcile/reconciler.hpp"
 
 namespace qkdpp::engine {
 
@@ -33,11 +34,6 @@ constexpr double kModelFrameBits = 16384.0;
 constexpr double kModelPayloadBits = 12288.0;
 constexpr double kModelEdgesPerBit = 3.0;  ///< regular dv=3 PEG codes
 constexpr double kModelTypicalIterations = 20.0;
-/// Per-attempt iteration cap for the lockstep batch decoder. Frames that
-/// need more than this almost never recover within the attempt - they
-/// converge after the next blind reveal instead, so short attempts waste
-/// less lockstep width on stragglers.
-constexpr unsigned kBatchIterationCap = 20;
 
 // ---------------------------------------------------------------------------
 
@@ -223,17 +219,8 @@ class ReconcileExecutor final : public StageExecutor {
     const bool quantized = ctx.params->ldpc.decoder.quantized;
     reconcile::FramePlan plan;
     try {
-      // The batched planner prefers codes that cut the key into enough
-      // frames to fill the lockstep decoder's lanes; the legacy float path
-      // wants the largest fitting frame.
-      plan = quantized
-                 ? reconcile::plan_frame_batched(
-                       state.alice_key.size(), qber, ctx.params->ldpc.f_target,
-                       ctx.params->ldpc.adapt_fraction,
-                       ctx.params->ldpc.batch_target_frames)
-                 : reconcile::plan_frame_fitting(
-                       state.alice_key.size(), qber, ctx.params->ldpc.f_target,
-                       ctx.params->ldpc.adapt_fraction);
+      plan = reconcile::plan_key_frames(state.alice_key.size(), qber,
+                                        ctx.params->ldpc);
     } catch (const Error&) {
       state.outcome.abort_reason = "key shorter than one reconciliation frame";
       return;
@@ -253,12 +240,9 @@ class ReconcileExecutor final : public StageExecutor {
       // cap attempts short. Measured against the 60-iteration cap this
       // cuts wall time 2-3x at the low-QBER operating points with the same
       // (occasionally lower) final leak.
-      effective.decoder.max_iterations =
-          std::min(effective.decoder.max_iterations, kBatchIterationCap);
-      std::vector<std::uint64_t> seeds(frames);
-      for (std::size_t f = 0; f < frames; ++f) {
-        seeds[f] = (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
-      }
+      effective.decoder.max_iterations = std::min(
+          effective.decoder.max_iterations, reconcile::kBatchIterationCap);
+      const auto seeds = reconcile::frame_seeds(state.block_id, frames);
       const auto stats = reconcile::ldpc_reconcile_key_batch(
           state.alice_key, state.bob_key, qber, plan, seeds, effective,
           *ctx.rng, ctx.arena, state.alice_reconciled, state.bob_reconciled);
@@ -285,11 +269,9 @@ class ReconcileExecutor final : public StageExecutor {
                                   alice_payload);
       state.bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits,
                                 bob_payload);
-      const std::uint64_t frame_seed =
-          (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
       const auto result = reconcile::ldpc_reconcile_local(
-          alice_payload, bob_payload, qber, plan, frame_seed, effective,
-          *ctx.rng);
+          alice_payload, bob_payload, qber, plan,
+          reconcile::frame_seed(state.block_id, f), effective, *ctx.rng);
       ctx.ledger->ec_bits += result.leaked_bits;
       state.outcome.reconcile_rounds += result.rounds;
       state.outcome.reconcile_frames += 1;
@@ -359,7 +341,7 @@ class VerifyExecutor final : public StageExecutor {
       const U128 bob_tag =
           privacy::verification_tag(state.bob_reconciled, verify_seed);
       ctx.ledger->verify_bits = kVerifyTagBits;  // tag reveals <= its length
-      if (!(alice_tag == bob_tag)) {
+      if (!ct_equal(alice_tag, bob_tag)) {
         state.outcome.abort_reason = "verification mismatch";
       }
       StageWorkload actual;

@@ -1,6 +1,9 @@
 #include "pipeline/session.hpp"
 
+#include <algorithm>
+
 #include "common/crc.hpp"
+#include "common/ct_equal.hpp"
 #include "common/error.hpp"
 #include "engine/primitives.hpp"
 #include "privacy/pa_planner.hpp"
@@ -47,12 +50,18 @@ void send_abort(ClassicalChannel& channel, std::uint64_t block_id,
   send_msg(channel, Abort{block_id, 0, reason});
 }
 
-template <typename T>
-T expect_msg(ClassicalChannel& channel) {
+/// The peer's next message; a peer Abort unwinds as AbortSignal.
+Message receive_msg(ClassicalChannel& channel) {
   Message message = protocol::decode_message(channel.receive());
   if (auto* abort = std::get_if<Abort>(&message)) {
     throw AbortSignal{abort->detail};
   }
+  return message;
+}
+
+template <typename T>
+T expect_msg(ClassicalChannel& channel) {
+  Message message = receive_msg(channel);
   auto* typed = std::get_if<T>(&message);
   if (typed == nullptr) {
     throw_error(ErrorCode::kProtocol,
@@ -118,6 +127,96 @@ class RemoteParityOracle final : public reconcile::ParityOracle {
   std::uint64_t block_id_;
 };
 
+/// Alice's LDPC half: every frame's syndrome in one ReconcileStart, one
+/// BlindResponse per BlindRequest, until Bob's ReconcileDone names the
+/// frames that converged. Returns their payloads in frame order; `leak`
+/// gains every bit disclosed.
+BitVec reconcile_ldpc_alice(ClassicalChannel& channel, const BitVec& key,
+                            const reconcile::FramePlan& plan,
+                            std::uint64_t block_id, double qber_hint,
+                            const reconcile::LdpcReconcilerConfig& config,
+                            Xoshiro256& rng, std::uint64_t& leak) {
+  const std::size_t frames = key.size() / plan.payload_bits;
+  const auto senders = reconcile::make_frame_senders(
+      key, plan, reconcile::frame_seeds(block_id, frames), rng, nullptr);
+  ReconcileStart start;
+  start.block_id = block_id;
+  start.code_id = plan.code_id;
+  start.n_punctured = plan.n_punctured;
+  start.n_shortened = plan.n_shortened;
+  start.qber_hint = qber_hint;
+  for (const auto& sender : senders) start.syndromes.append(sender.syndrome());
+  send_msg(channel, start);
+  leak += frames * (reconcile::code_by_id(plan.code_id).m() - plan.n_punctured);
+
+  for (std::uint32_t round = 1;; ++round) {
+    const Message message = receive_msg(channel);
+    if (const auto* done = std::get_if<ReconcileDone>(&message)) {
+      protocol::check_reconcile_done(*done, frames);
+      return reconcile::converged_payloads(key, plan, done->frames_ok);
+    }
+    const auto* request = std::get_if<BlindRequest>(&message);
+    if (request == nullptr || request->round != round ||
+        round > config.max_blind_rounds) {
+      throw_error(ErrorCode::kProtocol,
+                  std::string("out of turn during reconciliation: ") +
+                      protocol::message_name(message));
+    }
+    protocol::check_blind_request(*request, frames);
+    BlindResponse response{block_id, round,
+                           reconcile::reveal_chunks(senders, request->frames,
+                                                    round,
+                                                    config.max_blind_rounds)};
+    leak += response.values.size();
+    send_msg(channel, response);
+  }
+}
+
+/// Bob's LDPC half: checks Alice's start against his own frame plan, then
+/// decodes every frame in lockstep with one blind exchange per round and
+/// reports which frames converged. Returns their corrected payloads in
+/// frame order; `leak` gains every bit disclosed.
+BitVec reconcile_ldpc_bob(ClassicalChannel& channel, const BitVec& key,
+                          const ReconcileStart& start, std::uint64_t block_id,
+                          const reconcile::LdpcReconcilerConfig& config,
+                          std::uint64_t& leak) {
+  const double qber = engine::qber_floor(start.qber_hint);
+  const auto plan = reconcile::plan_key_frames(key.size(), qber, config);
+  const std::size_t frames = key.size() / plan.payload_bits;
+  if (start.code_id != plan.code_id || start.n_punctured != plan.n_punctured ||
+      start.n_shortened != plan.n_shortened) {
+    throw_error(ErrorCode::kProtocol, "frame plan mismatch");
+  }
+  protocol::check_syndromes(start, frames,
+                            reconcile::code_by_id(plan.code_id).m());
+  reconcile::DecoderConfig decoder = config.decoder;
+  decoder.max_iterations =
+      std::min(decoder.max_iterations, reconcile::kBatchIterationCap);
+  reconcile::LdpcBatchReceiver receiver(
+      plan, key, qber, reconcile::frame_seeds(block_id, frames),
+      start.syndromes, decoder, config.max_blind_rounds);
+
+  while (receiver.decode()) {
+    const BlindRequest request{block_id, receiver.round(),
+                               receiver.request()};
+    send_msg(channel, request);
+    const auto response = expect_msg<BlindResponse>(channel);
+    protocol::check_blind_response(response, request, receiver.reveal_bits());
+    receiver.apply_reveals(response.values);
+  }
+  send_msg(channel, ReconcileDone{block_id, receiver.converged_frames()});
+  leak += receiver.stats().leaked_bits;
+  return receiver.corrected_key();
+}
+
+/// The session reconciles LDPC keys on the lockstep batch decoder only.
+void require_batched_decoder(const SessionConfig& config) {
+  if (!config.ldpc.decoder.quantized) {
+    throw_error(ErrorCode::kConfig,
+                "the session reconciles on the quantized batch decoder only");
+  }
+}
+
 }  // namespace
 
 SessionResult run_alice_session(ClassicalChannel& channel,
@@ -127,6 +226,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
   SessionResult result;
   result.key_id = block_id;
   try {
+    require_batched_decoder(config);
     // --- sifting ---------------------------------------------------------
     const auto report = expect_msg<DetectionReport>(channel);
     if (report.block_id != block_id) {
@@ -187,63 +287,16 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     if (config.method == ReconcileMethod::kLdpc) {
       reconcile::FramePlan plan;
       try {
-        plan = reconcile::plan_frame_fitting(key.size(), qber_hint,
-                                             config.ldpc.f_target,
-                                             config.ldpc.adapt_fraction);
+        plan = reconcile::plan_key_frames(key.size(), qber_hint, config.ldpc);
       } catch (const Error&) {
         send_abort(channel, block_id, "key shorter than one frame");
         result.abort_reason = "key shorter than one frame";
         result.channel = channel.counters();
         return result;
       }
-      const std::size_t frames = key.size() / plan.payload_bits;
-      const reconcile::LdpcCode& code = reconcile::code_by_id(plan.code_id);
-      for (std::size_t f = 0; f < frames; ++f) {
-        const BitVec payload =
-            key.subvec(f * plan.payload_bits, plan.payload_bits);
-        const std::uint64_t frame_seed = rng.next_u64();
-        reconcile::LdpcFrameSender sender(plan, payload, frame_seed, rng);
-
-        ReconcileStart start;
-        start.block_id = block_id;
-        start.method = ReconcileMethod::kLdpc;
-        start.perm_seed = frame_seed;
-        start.code_id = plan.code_id;
-        start.n_punctured = plan.n_punctured;
-        start.n_shortened = plan.n_shortened;
-        start.qber_hint = qber_hint;
-        start.syndrome = sender.syndrome();
-        send_msg(channel, start);
-        result.leak_ec_bits += code.m() - plan.n_punctured;
-
-        // Serve blind rounds until Bob reports the frame done.
-        for (;;) {
-          Message message = protocol::decode_message(channel.receive());
-          if (auto* abort = std::get_if<Abort>(&message)) {
-            throw AbortSignal{abort->detail};
-          }
-          if (auto* blind = std::get_if<BlindRequest>(&message)) {
-            const auto chunk = sender.reveal_chunk(
-                blind->round, config.ldpc.max_blind_rounds);
-            BlindResponse response;
-            response.block_id = block_id;
-            response.round = blind->round;
-            response.positions = chunk.positions;
-            response.values = chunk.values;
-            result.leak_ec_bits += chunk.positions.size();
-            send_msg(channel, response);
-            continue;
-          }
-          if (auto* done = std::get_if<ReconcileDone>(&message)) {
-            if (done->success) reconciled.append(payload);
-            break;
-          }
-          throw_error(ErrorCode::kProtocol,
-                      std::string("unexpected message during "
-                                  "reconciliation: ") +
-                          protocol::message_name(message));
-        }
-      }
+      reconciled = reconcile_ldpc_alice(channel, key, plan, block_id,
+                                        qber_hint, config.ldpc, rng,
+                                        result.leak_ec_bits);
     } else {
       // Cascade: Alice is the parity server.
       const std::uint64_t perm_seed = rng.next_u64();
@@ -257,11 +310,8 @@ SessionResult run_alice_session(ClassicalChannel& channel,
       const reconcile::CascadeResponder responder(key, perm_seed,
                                                   config.cascade.passes);
       for (;;) {
-        Message message = protocol::decode_message(channel.receive());
-        if (auto* abort = std::get_if<Abort>(&message)) {
-          throw AbortSignal{abort->detail};
-        }
-        if (auto* request = std::get_if<ParityRequest>(&message)) {
+        const Message message = receive_msg(channel);
+        if (const auto* request = std::get_if<ParityRequest>(&message)) {
           if (request->range_begins.size() != request->range_ends.size()) {
             throw_error(ErrorCode::kProtocol, "parity request shape");
           }
@@ -283,7 +333,8 @@ SessionResult run_alice_session(ClassicalChannel& channel,
           // Bob reports round-budget exhaustion (keys provably still
           // differ): leave `reconciled` empty so the no-reconciled-frames
           // abort below fires instead of leaking a doomed verification tag.
-          if (done->success) reconciled = key;
+          protocol::check_reconcile_done(*done, 1);
+          if (done->frames_ok.get(0)) reconciled = key;
           break;
         }
         throw_error(ErrorCode::kProtocol, "unexpected message in cascade");
@@ -355,6 +406,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
   result.key_id = detections.block_id;
   const std::uint64_t block_id = detections.block_id;
   try {
+    require_batched_decoder(config);
     // --- sifting ---------------------------------------------------------
     DetectionReport report;
     report.block_id = block_id;
@@ -393,48 +445,16 @@ SessionResult run_bob_session(ClassicalChannel& channel,
 
     // --- reconciliation -----------------------------------------------------
     BitVec reconciled;
-    const auto first_start = expect_msg<ReconcileStart>(channel);
-    if (first_start.method == ReconcileMethod::kLdpc) {
-      reconcile::FramePlan plan;
-      plan.code_id = first_start.code_id;
-      plan.n_punctured = first_start.n_punctured;
-      plan.n_shortened = first_start.n_shortened;
-      const reconcile::LdpcCode& code = reconcile::code_by_id(plan.code_id);
-      plan.payload_bits = code.n() - plan.n_punctured - plan.n_shortened;
-      const std::size_t frames = key.size() / plan.payload_bits;
-      if (frames == 0) {
-        throw_error(ErrorCode::kProtocol, "frame plan larger than key");
-      }
-
-      ReconcileStart start = first_start;
-      for (std::size_t f = 0; f < frames; ++f) {
-        if (f > 0) start = expect_msg<ReconcileStart>(channel);
-        const BitVec payload =
-            key.subvec(f * plan.payload_bits, plan.payload_bits);
-        reconcile::LdpcFrameReceiver receiver(
-            plan, payload, start.perm_seed,
-            engine::qber_floor(start.qber_hint), config.ldpc.decoder);
-        auto attempt = receiver.try_decode(start.syndrome);
-        unsigned round = 0;
-        while (!attempt.converged && round < config.ldpc.max_blind_rounds) {
-          ++round;
-          send_msg(channel, BlindRequest{block_id, round});
-          const auto blind = expect_msg<BlindResponse>(channel);
-          result.leak_ec_bits += blind.positions.size();
-          if (blind.positions.empty()) break;  // nothing left to reveal
-          receiver.apply_reveal(blind.positions, blind.values);
-          attempt = receiver.try_decode(start.syndrome);
-        }
-        result.leak_ec_bits += code.m() - plan.n_punctured;
-        send_msg(channel, ReconcileDone{block_id, attempt.converged});
-        if (attempt.converged) reconciled.append(receiver.corrected_payload());
-      }
+    const auto start = expect_msg<ReconcileStart>(channel);
+    if (start.method == ReconcileMethod::kLdpc) {
+      reconciled = reconcile_ldpc_bob(channel, key, start, block_id,
+                                      config.ldpc, result.leak_ec_bits);
     } else {
       // Cascade: Bob drives, Alice serves parities.
       RemoteParityOracle oracle(channel, block_id);
       reconcile::CascadeConfig cascade = config.cascade;
-      cascade.qber_hint = engine::qber_floor(first_start.qber_hint);
-      cascade.seed = first_start.perm_seed;
+      cascade.qber_hint = engine::qber_floor(start.qber_hint);
+      cascade.seed = start.perm_seed;
       BitVec corrected = key;
       const auto cascade_result =
           reconcile::cascade_reconcile(corrected, oracle, cascade);
@@ -442,7 +462,8 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       // Report the real convergence state: on round-budget exhaustion the
       // keys provably still differ and verification (which both peers still
       // run, keeping the message flow fixed) is guaranteed to fail.
-      send_msg(channel, ReconcileDone{block_id, cascade_result.converged});
+      send_msg(channel,
+               ReconcileDone{block_id, BitVec(1, cascade_result.converged)});
       reconciled = std::move(corrected);
     }
     result.reconciled_bits = reconciled.size();
@@ -450,7 +471,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
     // --- verification ---------------------------------------------------------
     const auto verify = expect_msg<VerifyRequest>(channel);
     const U128 tag = privacy::verification_tag(reconciled, verify.seed);
-    const bool match = tag.hi == verify.tag_hi && tag.lo == verify.tag_lo;
+    const bool match = ct_equal(tag, U128{verify.tag_hi, verify.tag_lo});
     send_msg(channel, VerifyResponse{block_id, match});
     if (!match) {
       // Alice will send Abort; consume it for a clean shutdown.

@@ -10,20 +10,35 @@
 //   Alice:                 <- PeReveal               (estimation positions)
 //   Bob:   PeReport ->
 //   Alice:                 <- PeVerdict              (continue / abort)
-//   Alice:                 <- ReconcileStart         (per frame | cascade)
-//          ... ParityRequest/ParityResponse | BlindRequest/BlindResponse ...
-//   Bob:   ReconcileDone ->
+//   Alice:                 <- ReconcileStart         (every frame's
+//                                                     syndrome | cascade)
+//   LDPC, one pair per blind round (at most ldpc.max_blind_rounds):
+//   Bob:   BlindRequest ->                           (frames still failing)
+//   Alice:                 <- BlindResponse          (each one's reveal chunk)
+//   Cascade: ParityRequest/ParityResponse until Bob's passes end
+//   Bob:   ReconcileDone ->                          (per-frame success bitmap)
 //   Alice:                 <- VerifyRequest
 //   Bob:   VerifyResponse ->
 //   Alice:                 <- PaParams
 //   both:  KeyConfirm      (non-secret bookkeeping)
 //
+// LDPC keys reconcile as the engine's lockstep batch, split in two:
+// Alice's frame senders and Bob's LdpcBatchReceiver (reconcile/
+// reconciler.hpp), with the same frame plan, per-frame seeds and iteration
+// cap. A block costs 4 round trips plus the blind rounds of its slowest
+// frame, whatever the frame count. Each peer checks the other's counts and
+// indices against its own plan; a mismatch is a kProtocol fault. The
+// session runs only the quantized batch decoder: a config with
+// ldpc.decoder.quantized == false fails the block with kConfig.
+//
 // The per-stage computations (PE position selection, key extraction,
-// leakage accounting, PA application) are the engine's shared primitives
-// (engine/primitives.hpp) - this file only owns the message choreography,
-// so both deployments distill bit-identical keys from the same raw
-// material. Abort at any decision point is a message, not an exception;
-// both sides return success=false with the same reason.
+// reconciliation, leakage accounting, PA application) are the engine's
+// shared code, and Alice draws from her RNG in the engine's order (PE
+// positions, punctured bits, verify seed, PA seed) - this file only owns
+// the message choreography, so both deployments distill bit-identical keys
+// from the same raw material and the same seed (pipeline_session_test pins
+// it). Abort at any decision point is a message, not an exception; both
+// sides return success=false with the same reason.
 //
 // Channel faults are typed aborts too: a retransmission budget or exchange
 // deadline blown at the ARQ layer (Error{kTimeout}), a peer hang-up

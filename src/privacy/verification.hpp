@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "common/bitvec.hpp"
+#include "common/ct_equal.hpp"
 #include "common/gf2.hpp"
 
 namespace qkdpp::privacy {
@@ -19,7 +20,7 @@ U128 verification_tag(const BitVec& key, std::uint64_t seed);
 /// Convenience: do two keys (held by one process, e.g. in tests) verify?
 inline bool keys_verify(const BitVec& a, const BitVec& b,
                         std::uint64_t seed) {
-  return verification_tag(a, seed) == verification_tag(b, seed);
+  return ct_equal(verification_tag(a, seed), verification_tag(b, seed));
 }
 
 }  // namespace qkdpp::privacy

@@ -101,7 +101,7 @@ struct Encoder {
     w.put_u32(m.n_punctured);
     w.put_u32(m.n_shortened);
     w.put_f64(m.qber_hint);
-    w.put_bitvec(m.syndrome);
+    w.put_bitvec(m.syndromes);
   }
   void operator()(const ParityRequest& m) {
     w.put_u64(m.block_id);
@@ -116,16 +116,16 @@ struct Encoder {
   }
   void operator()(const ReconcileDone& m) {
     w.put_u64(m.block_id);
-    w.put_u8(m.success ? 1 : 0);
+    w.put_bitvec(m.frames_ok);
   }
   void operator()(const BlindRequest& m) {
     w.put_u64(m.block_id);
     w.put_u32(m.round);
+    w.put_u32_vec(m.frames);
   }
   void operator()(const BlindResponse& m) {
     w.put_u64(m.block_id);
     w.put_u32(m.round);
-    w.put_u32_vec(m.positions);
     w.put_bitvec(m.values);
   }
   void operator()(const VerifyRequest& m) {
@@ -227,7 +227,7 @@ Message decode_message(std::span<const std::uint8_t> frame) {
       v.n_punctured = r.get_u32();
       v.n_shortened = r.get_u32();
       v.qber_hint = r.get_f64();
-      v.syndrome = r.get_bitvec();
+      v.syndromes = r.get_bitvec();
       m = std::move(v);
       break;
     }
@@ -251,22 +251,22 @@ Message decode_message(std::span<const std::uint8_t> frame) {
     case kTagReconcileDone: {
       ReconcileDone v;
       v.block_id = r.get_u64();
-      v.success = r.get_u8() != 0;
-      m = v;
+      v.frames_ok = r.get_bitvec();
+      m = std::move(v);
       break;
     }
     case kTagBlindRequest: {
       BlindRequest v;
       v.block_id = r.get_u64();
       v.round = r.get_u32();
-      m = v;
+      v.frames = r.get_u32_vec();
+      m = std::move(v);
       break;
     }
     case kTagBlindResponse: {
       BlindResponse v;
       v.block_id = r.get_u64();
       v.round = r.get_u32();
-      v.positions = r.get_u32_vec();
       v.values = r.get_bitvec();
       m = std::move(v);
       break;
@@ -317,6 +317,42 @@ Message decode_message(std::span<const std::uint8_t> frame) {
   }
   r.expect_exhausted();
   return m;
+}
+
+void check_syndromes(const ReconcileStart& start, std::size_t frames,
+                     std::size_t syndrome_bits) {
+  if (start.syndromes.size() != frames * syndrome_bits) {
+    throw_error(ErrorCode::kProtocol,
+                "reconcile start does not match the frame plan");
+  }
+}
+
+void check_blind_request(const BlindRequest& request, std::size_t frames) {
+  bool ok = !request.frames.empty() && request.frames.back() < frames;
+  for (std::size_t i = 1; ok && i < request.frames.size(); ++i) {
+    ok = request.frames[i - 1] < request.frames[i];
+  }
+  if (!ok) {
+    throw_error(ErrorCode::kProtocol,
+                "blind request names frames out of range or twice");
+  }
+}
+
+void check_blind_response(const BlindResponse& response,
+                          const BlindRequest& request,
+                          std::size_t reveal_bits) {
+  if (response.round != request.round ||
+      response.values.size() != reveal_bits) {
+    throw_error(ErrorCode::kProtocol,
+                "blind response does not answer the request");
+  }
+}
+
+void check_reconcile_done(const ReconcileDone& done, std::size_t frames) {
+  if (done.frames_ok.size() != frames) {
+    throw_error(ErrorCode::kProtocol,
+                "reconcile done bitmap does not match the frame count");
+  }
 }
 
 }  // namespace qkdpp::protocol

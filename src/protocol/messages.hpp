@@ -6,6 +6,7 @@
 // ByteWriter little-endian encoding.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -57,8 +58,10 @@ struct PeVerdict {
 /// Reconciliation method selector.
 enum class ReconcileMethod : std::uint8_t { kCascade = 0, kLdpc = 1 };
 
-/// Alice -> Bob: reconciliation parameters. For LDPC the syndrome rides
-/// along; for Cascade the permutation seed drives both sides' shuffles.
+/// Alice -> Bob: reconciliation parameters. LDPC: the frame plan and every
+/// frame's syndrome, concatenated in frame order (frames x m bits); frame
+/// seeds follow reconcile::frame_seed, so none travels. Cascade:
+/// `perm_seed` drives both sides' shuffles.
 struct ReconcileStart {
   std::uint64_t block_id = 0;
   ReconcileMethod method = ReconcileMethod::kLdpc;
@@ -67,7 +70,7 @@ struct ReconcileStart {
   std::uint32_t n_punctured = 0;
   std::uint32_t n_shortened = 0;
   double qber_hint = 0.0;
-  BitVec syndrome;
+  BitVec syndromes;
 };
 
 /// Bob -> Alice (Cascade): batched parity queries over half-open ranges in
@@ -86,23 +89,28 @@ struct ParityResponse {
   BitVec parities;
 };
 
-/// Bob -> Alice: reconciliation finished on his side.
+/// Bob -> Alice: reconciliation finished on his side. One bit per frame
+/// (LDPC) or a single bit for the whole key (Cascade): 1 = converged.
 struct ReconcileDone {
   std::uint64_t block_id = 0;
-  bool success = false;
+  BitVec frames_ok;
 };
 
-/// Bob -> Alice (blind LDPC): decoding failed, reveal more punctured bits.
+/// Bob -> Alice (blind LDPC): the frames still failing after round - 1
+/// reveals, ascending; each wants its round-`round` chunk of punctured
+/// values.
 struct BlindRequest {
   std::uint64_t block_id = 0;
   std::uint32_t round = 0;
+  std::vector<std::uint32_t> frames;
 };
 
-/// Alice -> Bob (blind LDPC): values of previously punctured positions.
+/// Alice -> Bob (blind LDPC): each requested frame's chunk of punctured
+/// values, concatenated in request order. Chunk positions and lengths
+/// follow from the frame's seed and the round, so none travels.
 struct BlindResponse {
   std::uint64_t block_id = 0;
   std::uint32_t round = 0;
-  std::vector<std::uint32_t> positions;
   BitVec values;
 };
 
@@ -155,5 +163,22 @@ const char* message_name(const Message& m) noexcept;
 std::vector<std::uint8_t> encode_message(const Message& m);
 /// Throws Error{kSerialization} on malformed frames.
 Message decode_message(std::span<const std::uint8_t> frame);
+
+// Plan checks of the batched LDPC exchange. Each peer checks the other's
+// counts and indices against its own frame plan - `frames` frames of a code
+// with `syndrome_bits` (= m) checks - before any of it reaches the decoder;
+// a mismatch throws Error{kProtocol}.
+
+/// One syndrome_bits-bit syndrome per frame.
+void check_syndromes(const ReconcileStart& start, std::size_t frames,
+                     std::size_t syndrome_bits);
+/// At least one frame named; indices strictly ascending and below `frames`.
+void check_blind_request(const BlindRequest& request, std::size_t frames);
+/// Answers `request`'s round with the `reveal_bits` values its frames'
+/// chunks hold.
+void check_blind_response(const BlindResponse& response,
+                          const BlindRequest& request, std::size_t reveal_bits);
+/// One success bit per frame.
+void check_reconcile_done(const ReconcileDone& done, std::size_t frames);
 
 }  // namespace qkdpp::protocol

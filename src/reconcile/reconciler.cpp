@@ -1,6 +1,7 @@
 #include "reconcile/reconciler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/entropy.hpp"
@@ -8,6 +9,38 @@
 #include "reconcile/batch_decoder.hpp"
 
 namespace qkdpp::reconcile {
+
+namespace {
+
+/// [begin, end) of blind round `round`'s chunk of `total` punctured
+/// positions: the positions split into max_rounds near-equal chunks.
+std::pair<std::size_t, std::size_t> reveal_range(std::size_t total,
+                                                 unsigned round,
+                                                 unsigned max_rounds) {
+  if (total == 0 || max_rounds == 0) return {0, 0};
+  const std::size_t chunk = (total + max_rounds - 1) / max_rounds;
+  const std::size_t begin = std::min(total, chunk * (round - 1));
+  return {begin, std::min(total, begin + chunk)};
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> frame_seeds(std::uint64_t block_id,
+                                       std::size_t frames) {
+  std::vector<std::uint64_t> seeds(frames);
+  for (std::size_t f = 0; f < frames; ++f) seeds[f] = frame_seed(block_id, f);
+  return seeds;
+}
+
+FramePlan plan_key_frames(std::size_t key_bits, double qber,
+                          const LdpcReconcilerConfig& config) {
+  return config.decoder.quantized
+             ? plan_frame_batched(key_bits, qber, config.f_target,
+                                  config.adapt_fraction,
+                                  config.batch_target_frames)
+             : plan_frame_fitting(key_bits, qber, config.f_target,
+                                  config.adapt_fraction);
+}
 
 LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
                                  std::uint64_t frame_seed,
@@ -34,11 +67,8 @@ LdpcFrameSender::Reveal LdpcFrameSender::reveal_chunk(
     unsigned round, unsigned max_rounds) const {
   QKDPP_REQUIRE(round >= 1, "blind rounds are 1-based");
   Reveal reveal;
-  const std::size_t total = adaptation_.punctured.size();
-  if (total == 0 || max_rounds == 0) return reveal;
-  const std::size_t chunk = (total + max_rounds - 1) / max_rounds;
-  const std::size_t begin = std::min(total, chunk * (round - 1));
-  const std::size_t end = std::min(total, begin + chunk);
+  const auto [begin, end] =
+      reveal_range(adaptation_.punctured.size(), round, max_rounds);
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint32_t position = adaptation_.punctured[i];
     reveal.positions.push_back(position);
@@ -129,145 +159,224 @@ ReconcileOutcome ldpc_reconcile_local(const BitVec& alice_payload,
   return outcome;
 }
 
+std::vector<LdpcFrameSender> make_frame_senders(
+    const BitVec& key, const FramePlan& plan,
+    std::span<const std::uint64_t> frame_seeds, Xoshiro256& private_rng,
+    BlockArena* arena) {
+  QKDPP_REQUIRE(frame_seeds.size() * plan.payload_bits <= key.size(),
+                "frames exceed key length");
+  BitVec local_payload;
+  BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
+  std::vector<LdpcFrameSender> senders;
+  senders.reserve(frame_seeds.size());
+  for (std::size_t f = 0; f < frame_seeds.size(); ++f) {
+    key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
+    senders.emplace_back(plan, payload, frame_seeds[f], private_rng);
+  }
+  return senders;
+}
+
+BitVec reveal_chunks(std::span<const LdpcFrameSender> senders,
+                     std::span<const std::uint32_t> frames, unsigned round,
+                     unsigned max_rounds) {
+  BitVec values;
+  for (const std::uint32_t f : frames) {
+    values.append(senders[f].reveal_chunk(round, max_rounds).values);
+  }
+  return values;
+}
+
+LdpcBatchReceiver::LdpcBatchReceiver(const FramePlan& plan, const BitVec& key,
+                                     double qber,
+                                     std::span<const std::uint64_t> frame_seeds,
+                                     const BitVec& syndromes,
+                                     DecoderConfig decoder,
+                                     unsigned max_blind_rounds)
+    : plan_(plan),
+      qber_(qber),
+      decoder_(decoder),
+      max_blind_rounds_(max_blind_rounds) {
+  const LdpcCode& code = code_by_id(plan.code_id);
+  const std::size_t count = frame_seeds.size();
+  QKDPP_REQUIRE(count * plan.payload_bits <= key.size(),
+                "frames exceed key length");
+  QKDPP_REQUIRE(syndromes.size() == count * code.m(),
+                "one m-bit syndrome per frame");
+  // Priors, identical to LdpcFrameReceiver's construction: channel LLRs at
+  // payload positions, pinned shortened positions, erased (punctured)
+  // positions at zero.
+  const float channel = bsc_llr(qber);
+  frames_.resize(count);
+  pending_.resize(count);
+  for (std::size_t f = 0; f < count; ++f) {
+    Frame& frame = frames_[f];
+    frame.syndrome = syndromes.subvec(f * code.m(), code.m());
+    frame.adaptation = derive_adaptation(code.n(), plan.n_punctured,
+                                         plan.n_shortened, frame_seeds[f]);
+    frame.llr.assign(code.n(), 0.0f);
+    const auto& positions = frame.adaptation.payload;
+    const std::size_t base = f * plan.payload_bits;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      frame.llr[positions[i]] = key.get(base + i) ? -channel : channel;
+    }
+    for (const auto s : frame.adaptation.shortened) frame.llr[s] = kKnownLlr;
+    frame.leaked = code.m() - plan.n_punctured;
+    pending_[f] = static_cast<std::uint32_t>(f);
+  }
+}
+
+bool LdpcBatchReceiver::decode() {
+  const LdpcCode& code = code_by_id(plan_.code_id);
+  std::vector<QuantDecodeJob> jobs;
+  std::vector<DecodeResult> results;
+  for (std::size_t off = 0; off < pending_.size(); off += kMaxBatchFrames) {
+    const std::size_t count = std::min(kMaxBatchFrames, pending_.size() - off);
+    jobs.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const Frame& frame = frames_[pending_[off + i]];
+      jobs.push_back(QuantDecodeJob{&frame.syndrome, &frame.llr});
+    }
+    decode_syndrome_batch(code, jobs, decoder_, results);
+    for (std::size_t i = 0; i < count; ++i) {
+      Frame& frame = frames_[pending_[off + i]];
+      frame.iterations += results[i].iterations;
+      if (results[i].converged) {
+        frame.converged = true;
+        frame.early_exit = results[i].iterations < decoder_.max_iterations;
+        frame.corrected = results[i].word.gather(frame.adaptation.payload);
+      }
+    }
+  }
+  // Every pending frame has been through the same number of rounds, so the
+  // blind budget is one test for the whole batch.
+  request_.clear();
+  if (round_ < max_blind_rounds_) {
+    for (const std::uint32_t f : pending_) {
+      if (!frames_[f].converged) request_.push_back(f);
+    }
+  }
+  pending_.clear();
+  if (request_.empty()) return false;
+  ++round_;
+  for (const std::uint32_t f : request_) frames_[f].blind = round_;
+  return true;
+}
+
+std::size_t LdpcBatchReceiver::reveal_bits() const {
+  std::size_t bits = 0;
+  for (const std::uint32_t f : request_) {
+    const auto [begin, end] = reveal_range(
+        frames_[f].adaptation.punctured.size(), round_, max_blind_rounds_);
+    bits += end - begin;
+  }
+  return bits;
+}
+
+void LdpcBatchReceiver::apply_reveals(const BitVec& values) {
+  QKDPP_REQUIRE(values.size() == reveal_bits(), "reveal answer length");
+  std::size_t offset = 0;
+  for (const std::uint32_t f : request_) {
+    Frame& frame = frames_[f];
+    const auto [begin, end] = reveal_range(frame.adaptation.punctured.size(),
+                                           round_, max_blind_rounds_);
+    if (begin == end) continue;  // nothing left to disclose
+    for (std::size_t i = begin; i < end; ++i) {
+      frame.llr[frame.adaptation.punctured[i]] =
+          values.get(offset++) ? -kKnownLlr : kKnownLlr;
+    }
+    frame.leaked += end - begin;
+    frame.rounds += 1;
+    pending_.push_back(f);
+  }
+  request_.clear();
+}
+
+BitVec LdpcBatchReceiver::converged_frames() const {
+  BitVec frames_ok(frames_.size());
+  for (std::size_t f = 0; f < frames_.size(); ++f) {
+    frames_ok.set(f, frames_[f].converged);
+  }
+  return frames_ok;
+}
+
+BitVec LdpcBatchReceiver::corrected_key() const {
+  BitVec key;
+  for (const Frame& frame : frames_) key.append(frame.corrected);
+  return key;
+}
+
+BitVec converged_payloads(const BitVec& key, const FramePlan& plan,
+                          const BitVec& frames_ok) {
+  BitVec payloads;
+  for (std::size_t f = 0; f < frames_ok.size(); ++f) {
+    if (frames_ok.get(f)) {
+      payloads.append(key.subvec(f * plan.payload_bits, plan.payload_bits));
+    }
+  }
+  return payloads;
+}
+
+ReconcileOutcome LdpcBatchReceiver::outcome(std::uint32_t f) const {
+  const Frame& frame = frames_[f];
+  ReconcileOutcome outcome;
+  outcome.success = frame.converged;
+  outcome.corrected = frame.corrected;
+  outcome.leaked_bits = frame.leaked;
+  outcome.rounds = frame.rounds;
+  outcome.decoder_iterations = frame.iterations;
+  outcome.blind_rounds = frame.blind;
+  outcome.efficiency =
+      static_cast<double>(frame.leaked) /
+      (static_cast<double>(plan_.payload_bits) * binary_entropy(qber_));
+  return outcome;
+}
+
+BatchReconcileStats LdpcBatchReceiver::stats() const {
+  BatchReconcileStats stats;
+  stats.frames = frames_.size();
+  for (const Frame& frame : frames_) {
+    stats.iterations += frame.iterations;
+    stats.blind_rounds += frame.blind;
+    stats.leaked_bits += frame.leaked;
+    stats.rounds += frame.rounds;
+    stats.frames_ok += frame.converged;
+    stats.early_exit_frames += frame.converged && frame.early_exit;
+  }
+  return stats;
+}
+
 BatchReconcileStats ldpc_reconcile_key_batch(
     const BitVec& alice_key, const BitVec& bob_key, double qber,
     const FramePlan& plan, std::span<const std::uint64_t> frame_seeds,
     const LdpcReconcilerConfig& config, Xoshiro256& alice_private_rng,
     BlockArena* arena, BitVec& alice_out, BitVec& bob_out,
     std::vector<ReconcileOutcome>* per_frame) {
-  const LdpcCode& code = code_by_id(plan.code_id);
   const std::size_t frames = frame_seeds.size();
   QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
                 "batch keys must have equal length");
-  QKDPP_REQUIRE(frames * plan.payload_bits <= alice_key.size(),
-                "frames exceed key length");
-  BatchReconcileStats stats;
-  stats.frames = frames;
   if (per_frame != nullptr) per_frame->assign(frames, ReconcileOutcome{});
-  if (frames == 0) return stats;
+  if (frames == 0) return BatchReconcileStats{};
 
   DecoderConfig decoder = config.decoder;
   if (arena != nullptr) decoder.arena = arena;
 
-  // Alice's frames, built in frame order so her private RNG stream is
-  // consumed exactly as the sequential single-frame path consumes it.
-  BitVec local_payload;
-  BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
-  std::vector<LdpcFrameSender> senders;
-  senders.reserve(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    senders.emplace_back(plan, payload, frame_seeds[f], alice_private_rng);
+  const std::vector<LdpcFrameSender> senders = make_frame_senders(
+      alice_key, plan, frame_seeds, alice_private_rng, arena);
+  BitVec syndromes;
+  for (const auto& sender : senders) syndromes.append(sender.syndrome());
+  LdpcBatchReceiver bob(plan, bob_key, qber, frame_seeds, syndromes, decoder,
+                        config.max_blind_rounds);
+  while (bob.decode()) {
+    bob.apply_reveals(reveal_chunks(senders, bob.request(), bob.round(),
+                                    config.max_blind_rounds));
   }
 
-  // Bob's priors, identical to LdpcFrameReceiver's construction: channel
-  // LLRs at payload positions, pinned shortened positions, erased
-  // (punctured) positions at zero.
-  const float channel = bsc_llr(qber);
-  std::vector<RateAdaptation> adaptations(frames);
-  std::vector<std::vector<float>> llrs(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    adaptations[f] = derive_adaptation(code.n(), plan.n_punctured,
-                                       plan.n_shortened, frame_seeds[f]);
-    std::vector<float>& llr = llrs[f];
-    llr.assign(code.n(), 0.0f);
-    const auto& positions = adaptations[f].payload;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      llr[positions[i]] = payload.get(i) ? -channel : channel;
-    }
-    for (const auto s : adaptations[f].shortened) llr[s] = kKnownLlr;
+  alice_out.append(converged_payloads(alice_key, plan, bob.converged_frames()));
+  bob_out.append(bob.corrected_key());
+  if (per_frame != nullptr) {
+    for (std::uint32_t f = 0; f < frames; ++f) (*per_frame)[f] = bob.outcome(f);
   }
-
-  struct FrameAccount {
-    std::uint64_t leaked = 0;
-    std::uint64_t rounds = 1;  // syndrome message
-    unsigned iterations = 0;
-    unsigned blind = 0;
-    bool converged = false;
-    bool early_exit = false;
-    BitVec corrected;
-  };
-  std::vector<FrameAccount> account(frames);
-  for (auto& acct : account) acct.leaked = code.m() - plan.n_punctured;
-
-  // Blind stages: every pending frame decodes in lockstep (sub-batches of
-  // kMaxBatchFrames); survivors apply their own next reveal chunk and ride
-  // into the next, smaller batch.
-  std::vector<std::uint32_t> pending(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    pending[f] = static_cast<std::uint32_t>(f);
-  }
-  std::vector<QuantDecodeJob> jobs;
-  std::vector<DecodeResult> results;
-  while (!pending.empty()) {
-    for (std::size_t off = 0; off < pending.size(); off += kMaxBatchFrames) {
-      const std::size_t count =
-          std::min(kMaxBatchFrames, pending.size() - off);
-      jobs.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t f = pending[off + i];
-        jobs.push_back(QuantDecodeJob{&senders[f].syndrome(), &llrs[f]});
-      }
-      decode_syndrome_batch(code, jobs, decoder, results);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t f = pending[off + i];
-        FrameAccount& acct = account[f];
-        acct.iterations += results[i].iterations;
-        if (results[i].converged) {
-          acct.converged = true;
-          acct.early_exit = results[i].iterations < decoder.max_iterations;
-          acct.corrected = results[i].word.gather(adaptations[f].payload);
-        }
-      }
-    }
-    std::vector<std::uint32_t> survivors;
-    for (const std::uint32_t f : pending) {
-      FrameAccount& acct = account[f];
-      if (acct.converged || acct.blind >= config.max_blind_rounds) continue;
-      acct.blind += 1;
-      const auto reveal =
-          senders[f].reveal_chunk(acct.blind, config.max_blind_rounds);
-      if (reveal.positions.empty()) continue;  // nothing left to disclose
-      for (std::size_t i = 0; i < reveal.positions.size(); ++i) {
-        llrs[f][reveal.positions[i]] =
-            reveal.values.get(i) ? -kKnownLlr : kKnownLlr;
-      }
-      acct.leaked += reveal.positions.size();
-      acct.rounds += 1;
-      survivors.push_back(f);
-    }
-    pending = std::move(survivors);
-  }
-
-  const double h = binary_entropy(qber);
-  for (std::size_t f = 0; f < frames; ++f) {
-    const FrameAccount& acct = account[f];
-    stats.iterations += acct.iterations;
-    stats.blind_rounds += acct.blind;
-    stats.leaked_bits += acct.leaked;
-    stats.rounds += acct.rounds;
-    if (acct.converged) {
-      stats.frames_ok += 1;
-      if (acct.early_exit) stats.early_exit_frames += 1;
-      alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-      alice_out.append(payload);
-      bob_out.append(acct.corrected);
-    }
-    if (per_frame != nullptr) {
-      ReconcileOutcome& outcome = (*per_frame)[f];
-      outcome.success = acct.converged;
-      outcome.corrected = acct.corrected;
-      outcome.leaked_bits = acct.leaked;
-      outcome.rounds = acct.rounds;
-      outcome.decoder_iterations = acct.iterations;
-      outcome.blind_rounds = acct.blind;
-      outcome.efficiency =
-          static_cast<double>(acct.leaked) /
-          (static_cast<double>(plan.payload_bits) * h);
-    }
-  }
-  return stats;
+  return bob.stats();
 }
 
 ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,

@@ -1,9 +1,14 @@
 // High-level reconciliation API: one call per frame, with exact leakage and
 // efficiency reporting. Two families behind one result type:
 //
-//   * LdpcReconciler - one-way syndrome coding with blind (incremental)
-//     rate adaptation; the Alice->Bob payload is a single message, failures
-//     cost one extra round per blind reveal.
+//   * LDPC - one-way syndrome coding with blind (incremental) rate
+//     adaptation. A key is cut into frames that reconcile in lockstep:
+//     Alice's syndromes travel as one message, and each blind round costs
+//     one more round trip for every frame still failing. The engine runs
+//     both halves in-process (ldpc_reconcile_key_batch); the two-party
+//     session runs make_frame_senders on Alice's side and
+//     LdpcBatchReceiver on Bob's, with the same plan (plan_key_frames),
+//     frame seeds (frame_seed) and iteration cap (kBatchIterationCap).
 //   * Cascade (see cascade.hpp) - interactive, efficiency ~1.05-1.2 but
 //     O(log n) round trips per error.
 //
@@ -13,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
@@ -51,6 +57,30 @@ struct LdpcReconcilerConfig {
   DecoderConfig decoder;
 };
 
+/// Per-attempt iteration cap of the lockstep batch decoder (engine and
+/// session alike). Frames that need more than this almost never recover
+/// within the attempt - they converge after the next blind reveal instead,
+/// so short attempts waste less lockstep width on stragglers.
+inline constexpr unsigned kBatchIterationCap = 20;
+
+/// Seed of frame `f` of block `block_id`. Both peers derive each frame's
+/// puncture/shorten partition from it, so it never travels on the wire.
+constexpr std::uint64_t frame_seed(std::uint64_t block_id,
+                                   std::size_t f) noexcept {
+  return (block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
+}
+
+/// frame_seed(block_id, f) for f in [0, frames).
+std::vector<std::uint64_t> frame_seeds(std::uint64_t block_id,
+                                       std::size_t frames);
+
+/// The frame plan for a `key_bits`-bit key. The quantized decoder gets
+/// plan_frame_batched (enough frames to fill its lanes); the legacy float
+/// path wants the largest fitting frame (plan_frame_fitting). Throws
+/// Error{kConfig} when the key is shorter than every frame.
+FramePlan plan_key_frames(std::size_t key_bits, double qber,
+                          const LdpcReconcilerConfig& config);
+
 /// Alice-side state for one LDPC frame: keeps the filled frame (payload +
 /// private punctured randomness) so blind reveals can be served.
 class LdpcFrameSender {
@@ -76,6 +106,14 @@ class LdpcFrameSender {
   BitVec frame_;
   BitVec syndrome_;
 };
+
+/// Alice's half of a lockstep batch: one sender per frame, built in frame
+/// order from consecutive payload-sized slices of `key`, so `private_rng`
+/// is consumed frame by frame. `arena` (nullable) backs the payload scratch.
+std::vector<LdpcFrameSender> make_frame_senders(
+    const BitVec& key, const FramePlan& plan,
+    std::span<const std::uint64_t> frame_seeds, Xoshiro256& private_rng,
+    BlockArena* arena);
 
 /// Bob-side decoder for one LDPC frame.
 class LdpcFrameReceiver {
@@ -127,13 +165,92 @@ struct BatchReconcileStats {
   std::uint64_t rounds = 0;          ///< protocol round-trips
 };
 
+/// Alice's answer to the round-`round` blind request naming `frames`: each
+/// named frame's reveal chunk, concatenated in request order.
+BitVec reveal_chunks(std::span<const LdpcFrameSender> senders,
+                     std::span<const std::uint32_t> frames, unsigned round,
+                     unsigned max_rounds);
+
+/// The payload-sized slices of `key` whose bit in `frames_ok` is set, in
+/// frame order: Alice's reconciled key once Bob names the converged frames.
+BitVec converged_payloads(const BitVec& key, const FramePlan& plan,
+                          const BitVec& frames_ok);
+
+/// Bob's half of a lockstep batch over consecutive payload-sized slices of
+/// his key. Each decode() runs every pending frame through one quantized
+/// batch decode (sub-batches of kMaxBatchFrames); the frames that failed
+/// with blind budget left form the blind request of the next round.
+/// Alice's answer (apply_reveals) sends each named frame into the next,
+/// smaller batch; a frame whose chunk is empty has nothing left to learn
+/// and drops out. Leak and round accounting count exactly what Alice
+/// discloses.
+class LdpcBatchReceiver {
+ public:
+  /// Frame f decodes `key[f * payload, (f + 1) * payload)` under
+  /// frame_seeds[f]'s partition against its m-bit slice of `syndromes`
+  /// (every frame's syndrome, concatenated in frame order).
+  /// `decoder.arena` (nullable) backs the decoder scratch.
+  LdpcBatchReceiver(const FramePlan& plan, const BitVec& key, double qber,
+                    std::span<const std::uint64_t> frame_seeds,
+                    const BitVec& syndromes, DecoderConfig decoder,
+                    unsigned max_blind_rounds);
+
+  /// Decode the pending frames. True when a blind round is due: request()
+  /// then names the frames still failing with blind budget left.
+  bool decode();
+  /// The current blind request: ascending frame indices.
+  const std::vector<std::uint32_t>& request() const noexcept {
+    return request_;
+  }
+  /// Blind rounds requested so far; request() is for this round.
+  unsigned round() const noexcept { return round_; }
+  /// Length of Alice's answer to the current request.
+  std::size_t reveal_bits() const;
+  /// Apply Alice's answer to the current request (reveal_bits() values, as
+  /// reveal_chunks lays them out) and queue its frames for decode().
+  void apply_reveals(const BitVec& values);
+
+  /// One bit per frame, set when the frame converged.
+  BitVec converged_frames() const;
+  /// Corrected payloads of the converged frames, in frame order.
+  BitVec corrected_key() const;
+  /// Per-frame accounting, as ldpc_reconcile_local would report it.
+  ReconcileOutcome outcome(std::uint32_t f) const;
+  /// Accounting summed over every frame.
+  BatchReconcileStats stats() const;
+
+ private:
+  struct Frame {
+    RateAdaptation adaptation;
+    std::vector<float> llr;
+    BitVec syndrome;
+    std::uint64_t leaked = 0;
+    std::uint64_t rounds = 1;  // syndrome message
+    unsigned iterations = 0;
+    unsigned blind = 0;
+    bool converged = false;
+    bool early_exit = false;
+    BitVec corrected;
+  };
+
+  FramePlan plan_;
+  double qber_;
+  DecoderConfig decoder_;
+  unsigned max_blind_rounds_;
+  unsigned round_ = 0;
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint32_t> request_;
+};
+
 /// Reconcile frame_seeds.size() consecutive payload-sized slices of the
-/// two keys in lockstep: all frames share one quantized batch decode per
-/// blind stage, failed frames apply their own reveal chunk and re-decode
-/// as a shrinking sub-batch. Surviving payload pairs are appended to
-/// alice_out / bob_out in frame order (failed frames are skipped but
-/// their leakage still counts). Per-frame results - corrected payloads,
-/// leak accounting, rounds - are bit-identical to calling
+/// two keys in lockstep: the in-process composition of make_frame_senders
+/// (Alice) and LdpcBatchReceiver (Bob) - all frames share one quantized
+/// batch decode per blind stage, failed frames apply their own reveal
+/// chunk and re-decode as a shrinking sub-batch. Surviving payload pairs
+/// are appended to alice_out / bob_out in frame order (failed frames are
+/// skipped but their leakage still counts). Per-frame results - corrected
+/// payloads, leak accounting, rounds - are bit-identical to calling
 /// ldpc_reconcile_local frame by frame with the same shared private RNG
 /// and a quantized DecoderConfig (the equivalence the reconcile_batch
 /// tests pin down). `per_frame`, when non-null, receives one

@@ -1,15 +1,22 @@
 // Two-party session integration tests: Alice and Bob on separate threads
 // over the in-process channel (raw and Wegman-Carter authenticated),
-// producing identical keys; adversarial paths abort cleanly on both ends.
+// producing identical keys - bit-identical to the in-process engine's;
+// adversarial paths and malformed batches abort cleanly on both ends.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
+#include <memory>
 #include <thread>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "engine/engine.hpp"
+#include "engine/sim_adapter.hpp"
 #include "protocol/auth_channel.hpp"
+#include "protocol/messages.hpp"
 #include "sim/bb84.hpp"
 
 namespace qkdpp::pipeline {
@@ -225,6 +232,156 @@ TEST(Session, DifferentAliceSeedsGiveDifferentKeys) {
   ASSERT_TRUE(alice2.success) << alice2.abort_reason;
   // Same raw data, different sampling/seeds -> different final keys.
   EXPECT_NE(alice1.final_key, alice2.final_key);
+}
+
+// --- engine/session identity ---------------------------------------------
+
+// The session and the in-process engine run the same stage code: from the
+// same detections and the same Alice seed they must distil the same key
+// with the same leak, and the session must keep every block the engine
+// keeps. Metro-sized blocks (about 40k sifted bits) cut into several
+// reconciliation frames.
+class EngineSessionIdentity
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(EngineSessionIdentity, SameKeyAndLeakAsEngine) {
+  const auto [seed, misalignment] = GetParam();
+  sim::LinkConfig link;
+  link.channel.length_km = 25.0;
+  link.channel.misalignment = misalignment;
+  const std::size_t pulses = sim::pulses_for_sifted_target(
+      link, 40000.0, std::size_t{1} << 20, std::size_t{1} << 26);
+  Xoshiro256 sim_rng(seed);
+  const auto record = sim::Bb84Simulator(link).run(pulses, sim_rng);
+  const std::uint64_t block_id = 40 + seed;
+  const engine::BlockInput input = engine::make_block_input(record, block_id);
+  const std::uint64_t alice_seed = 1000 + seed;
+  const SessionConfig config = metro_session_config();
+
+  engine::PostprocessEngine engine(config, engine::EngineOptions::cpu_only());
+  Xoshiro256 engine_rng(alice_seed);
+  const engine::BlockOutcome outcome =
+      engine.process_block(input, block_id, engine_rng);
+  ASSERT_TRUE(outcome.success) << outcome.abort_reason;
+  EXPECT_GT(outcome.reconcile_frames, 1u);
+
+  BobDetections bob_view;
+  bob_view.block_id = block_id;
+  bob_view.n_pulses = input.report.n_pulses;
+  bob_view.detected_idx = input.report.detected_idx;
+  bob_view.bits = input.bob_bits;
+  bob_view.bases = input.report.bob_bases;
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+  auto alice_future = std::async(std::launch::async, [&] {
+    Xoshiro256 rng(alice_seed);
+    return run_alice_session(*alice_channel, input.log, block_id, config,
+                             rng);
+  });
+  const SessionResult bob = run_bob_session(*bob_channel, bob_view, config);
+  const SessionResult alice = alice_future.get();
+
+  ASSERT_TRUE(alice.success) << alice.abort_reason;
+  ASSERT_TRUE(bob.success) << bob.abort_reason;
+  EXPECT_EQ(alice.final_key, outcome.final_key);
+  EXPECT_EQ(bob.final_key, outcome.final_key);
+  EXPECT_EQ(alice.leak_ec_bits, outcome.leak_ec_bits);
+  EXPECT_EQ(bob.leak_ec_bits, outcome.leak_ec_bits);
+  EXPECT_EQ(alice.reconciled_bits, outcome.reconciled_bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MetroGrid, EngineSessionIdentity,
+    ::testing::Combine(::testing::Values<std::uint64_t>(2, 4, 7),
+                       ::testing::Values(0.015, 0.035)));
+
+// --- malformed batches ------------------------------------------------------
+
+/// Endpoint wrapper that rewrites the first sent message of type T.
+template <typename T>
+class MutateFirst final : public protocol::ClassicalChannel {
+ public:
+  MutateFirst(std::unique_ptr<protocol::ClassicalChannel> inner,
+              std::function<void(T&)> mutate)
+      : inner_(std::move(inner)), mutate_(std::move(mutate)) {}
+
+  void send(std::vector<std::uint8_t> frame) override {
+    if (!done_) {
+      protocol::Message message = protocol::decode_message(frame);
+      if (auto* typed = std::get_if<T>(&message)) {
+        mutate_(*typed);
+        frame = protocol::encode_message(message);
+        done_ = true;
+      }
+    }
+    inner_->send(std::move(frame));
+  }
+  std::vector<std::uint8_t> receive() override { return inner_->receive(); }
+  void close() override { inner_->close(); }
+  protocol::ChannelCounters counters() const override {
+    return inner_->counters();
+  }
+
+ private:
+  std::unique_ptr<protocol::ClassicalChannel> inner_;
+  std::function<void(T&)> mutate_;
+  bool done_ = false;
+};
+
+/// Runs one block with Alice's (or Bob's) sends wrapped in `wrap`; the side
+/// that reads the malformed message must end with a typed kProtocol fault,
+/// and the other side with the same reason carried by its Abort.
+template <typename T>
+void expect_typed_abort_on_malformed(bool alice_sends,
+                                     std::function<void(T&)> mutate) {
+  const auto data = simulate_link(25.0, 109, 1 << 20);
+  auto [raw_alice, raw_bob] = protocol::make_channel_pair();
+  std::unique_ptr<protocol::ClassicalChannel> alice_channel =
+      alice_sends ? std::make_unique<MutateFirst<T>>(std::move(raw_alice),
+                                                     mutate)
+                  : std::move(raw_alice);
+  std::unique_ptr<protocol::ClassicalChannel> bob_channel =
+      alice_sends ? std::move(raw_bob)
+                  : std::make_unique<MutateFirst<T>>(std::move(raw_bob),
+                                                     mutate);
+  const auto [alice, bob] = run_session(data, metro_session_config(),
+                                        *alice_channel, *bob_channel);
+  const SessionResult& detector = alice_sends ? bob : alice;
+  const SessionResult& peer = alice_sends ? alice : bob;
+  EXPECT_FALSE(detector.success);
+  ASSERT_TRUE(detector.fault_code.has_value()) << detector.abort_reason;
+  EXPECT_EQ(*detector.fault_code, ErrorCode::kProtocol);
+  EXPECT_FALSE(peer.success);
+  EXPECT_EQ(peer.abort_reason, detector.abort_reason);
+  EXPECT_TRUE(alice.final_key.empty());
+  EXPECT_TRUE(bob.final_key.empty());
+}
+
+TEST(Session, ShortSyndromeBatchIsTypedAbort) {
+  expect_typed_abort_on_malformed<protocol::ReconcileStart>(
+      /*alice_sends=*/true, [](protocol::ReconcileStart& start) {
+        start.syndromes.resize(start.syndromes.size() - 1);
+      });
+}
+
+TEST(Session, WrongLengthDoneBitmapIsTypedAbort) {
+  expect_typed_abort_on_malformed<protocol::ReconcileDone>(
+      /*alice_sends=*/false, [](protocol::ReconcileDone& done) {
+        done.frames_ok.push_back(true);
+      });
+}
+
+TEST(Session, FloatDecoderConfigIsTypedConfigAbort) {
+  const auto data = simulate_link(25.0, 110, 1 << 18);
+  SessionConfig config = metro_session_config();
+  config.ldpc.decoder.quantized = false;
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+  const auto [alice, bob] =
+      run_session(data, config, *alice_channel, *bob_channel);
+  for (const SessionResult& side : {alice, bob}) {
+    EXPECT_FALSE(side.success);
+    ASSERT_TRUE(side.fault_code.has_value());
+    EXPECT_EQ(*side.fault_code, ErrorCode::kConfig);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -75,7 +77,7 @@ TEST(Messages, ReconcileStartRoundTrip) {
   m.n_punctured = 100;
   m.n_shortened = 50;
   m.qber_hint = 0.025;
-  m.syndrome = rng.random_bits(8192);
+  m.syndromes = rng.random_bits(4 * 1024);
   const auto out = round_trip(m);
   EXPECT_EQ(out.method, ReconcileMethod::kLdpc);
   EXPECT_EQ(out.perm_seed, m.perm_seed);
@@ -83,7 +85,8 @@ TEST(Messages, ReconcileStartRoundTrip) {
   EXPECT_EQ(out.n_punctured, 100u);
   EXPECT_EQ(out.n_shortened, 50u);
   EXPECT_DOUBLE_EQ(out.qber_hint, 0.025);
-  EXPECT_EQ(out.syndrome, m.syndrome);
+  EXPECT_EQ(out.syndromes, m.syndromes);
+  EXPECT_NO_THROW(check_syndromes(out, 4, 1024));
 }
 
 TEST(Messages, CascadeMessagesRoundTrip) {
@@ -109,17 +112,90 @@ TEST(Messages, BlindMessagesRoundTrip) {
   Xoshiro256 rng(6);
   BlindRequest req;
   req.block_id = 10;
-  req.round = 1;
-  EXPECT_EQ(round_trip(req).round, 1u);
+  req.round = 2;
+  req.frames = {0, 3, 7};
+  const auto q = round_trip(req);
+  EXPECT_EQ(q.round, 2u);
+  EXPECT_EQ(q.frames, req.frames);
+  EXPECT_NO_THROW(check_blind_request(q, 8));
 
   BlindResponse resp;
   resp.block_id = 10;
-  resp.round = 1;
-  resp.positions = {3, 77};
-  resp.values = rng.random_bits(2);
+  resp.round = 2;
+  resp.values = rng.random_bits(8);
   const auto r = round_trip(resp);
-  EXPECT_EQ(r.positions, resp.positions);
+  EXPECT_EQ(r.round, 2u);
   EXPECT_EQ(r.values, resp.values);
+  EXPECT_NO_THROW(check_blind_response(r, q, 8));
+}
+
+TEST(Messages, ReconcileDoneBitmapRoundTrip) {
+  Xoshiro256 rng(8);
+  ReconcileDone done{12, rng.random_bits(9)};
+  const auto out = round_trip(done);
+  EXPECT_EQ(out.block_id, 12u);
+  EXPECT_EQ(out.frames_ok, done.frames_ok);
+  EXPECT_NO_THROW(check_reconcile_done(out, 9));
+}
+
+// --- batched LDPC shapes that do not fit the receiver's frame plan ---------
+
+ErrorCode code_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const Error& error) {
+    return error.code();
+  }
+  ADD_FAILURE() << "expected a typed error";
+  return ErrorCode::kConfig;
+}
+
+TEST(Messages, SyndromeLengthMustBeFramesTimesM) {
+  ReconcileStart start;
+  start.syndromes = BitVec(3 * 512 - 1);
+  EXPECT_EQ(code_of([&] { check_syndromes(start, 3, 512); }),
+            ErrorCode::kProtocol);
+  start.syndromes = BitVec(3 * 512 + 512);
+  EXPECT_EQ(code_of([&] { check_syndromes(start, 3, 512); }),
+            ErrorCode::kProtocol);
+  start.syndromes = BitVec(3 * 512);
+  EXPECT_NO_THROW(check_syndromes(start, 3, 512));
+}
+
+TEST(Messages, BlindRequestFrameIndicesChecked) {
+  BlindRequest out_of_range{1, 1, {0, 8}};
+  EXPECT_EQ(code_of([&] { check_blind_request(out_of_range, 8); }),
+            ErrorCode::kProtocol);
+  BlindRequest repeated{1, 1, {2, 2}};
+  EXPECT_EQ(code_of([&] { check_blind_request(repeated, 8); }),
+            ErrorCode::kProtocol);
+  BlindRequest descending{1, 1, {5, 2}};
+  EXPECT_EQ(code_of([&] { check_blind_request(descending, 8); }),
+            ErrorCode::kProtocol);
+  BlindRequest empty{1, 1, {}};
+  EXPECT_EQ(code_of([&] { check_blind_request(empty, 8); }),
+            ErrorCode::kProtocol);
+}
+
+TEST(Messages, BlindResponseMustAnswerItsRequest) {
+  const BlindRequest request{1, 2, {1, 4}};
+  const BlindResponse wrong_round{1, 3, BitVec(6)};
+  EXPECT_EQ(code_of([&] { check_blind_response(wrong_round, request, 6); }),
+            ErrorCode::kProtocol);
+  const BlindResponse short_chunks{1, 2, BitVec(5)};
+  EXPECT_EQ(code_of([&] { check_blind_response(short_chunks, request, 6); }),
+            ErrorCode::kProtocol);
+  EXPECT_NO_THROW(check_blind_response(BlindResponse{1, 2, BitVec(6)},
+                                       request, 6));
+}
+
+TEST(Messages, ReconcileDoneBitmapMustMatchFrameCount) {
+  const ReconcileDone done{1, BitVec(5, true)};
+  EXPECT_EQ(code_of([&] { check_reconcile_done(done, 6); }),
+            ErrorCode::kProtocol);
+  EXPECT_EQ(code_of([&] { check_reconcile_done(done, 4); }),
+            ErrorCode::kProtocol);
+  EXPECT_NO_THROW(check_reconcile_done(done, 5));
 }
 
 TEST(Messages, RemainingTypesRoundTrip) {
@@ -142,7 +218,6 @@ TEST(Messages, RemainingTypesRoundTrip) {
   EXPECT_EQ(a.reason, 3);
   EXPECT_EQ(a.detail, "qber too high");
 
-  EXPECT_TRUE(round_trip(ReconcileDone{12, true}).success);
 }
 
 TEST(Messages, TypeTagsAreDistinct) {
